@@ -18,6 +18,15 @@ overhead amortizes over fewer nets.  Measured ~8.3x (8-bit) and ~6.6x
 A second bench tracks end-to-end ``explore`` wall-clock (activity
 simulation included) in the BENCH JSON so exploration-level regressions
 stay visible even when the kernel floor holds.
+
+A third pins dominance pruning: ``evaluate_cells`` times a BB
+combination only when no easier knob point proved it infeasible, and the
+ratio of columns covered to columns timed is a deterministic count, so
+its floor is tight.  booth16 on a 2x6 grid at default settings covers
+327,680 columns and times 23,050 (14.2x; floor 10x); the
+``REPRO_BENCH_SMALL`` stand-in, booth8 on a 2x4 grid over bitwidths
+1..8, covers 10,240 and times 1,095 (9.35x; floor 9x).  Both runs must
+equal the exhaustive oracle field for field.
 """
 
 import time
@@ -33,6 +42,11 @@ from repro.pnr.grid import GridPartition
 from repro.sta.lattice import LatticeStaEngine
 from repro.techlib.library import Library
 
+from tests.test_exploration_pruning import (
+    assert_matches_oracle,
+    exhaustive_oracle,
+)
+
 from .conftest import SMALL
 
 VDD_LADDER = (1.0, 0.9, 0.8, 0.7, 0.6)
@@ -42,6 +56,10 @@ VDD_LADDER = (1.0, 0.9, 0.8, 0.7, 0.6)
 FLOORS = {8: 3.0, 16: 5.0}
 
 WIDTHS = [8] if SMALL else [8, 16]
+
+#: Pruning bench design (width, grid) and its columns-covered /
+#: columns-timed floor; see the module docstring for the measured counts.
+PRUNING = (8, (2, 4), 9.0) if SMALL else (16, (2, 6), 10.0)
 
 
 def _best_of(fn, rounds=3):
@@ -54,11 +72,11 @@ def _best_of(fn, rounds=3):
     return best, result
 
 
-def _booth_engine(width, library):
+def _booth_engine(width, library, grid=(2, 2)):
     factory = lambda: booth_multiplier(library, width)
     constraint = select_clock_for(factory, library)
     design = implement_with_domains(
-        factory, library, GridPartition(2, 2), constraint=constraint
+        factory, library, GridPartition(*grid), constraint=constraint
     )
     engine = LatticeStaEngine(
         design.timing_graph(), library, design.domains, design.num_domains
@@ -147,3 +165,26 @@ def test_explore_wall_clock_tracked(benchmark, library):
         f"lattice {lattice_time * 1e3:.0f} ms -> {ratio:.2f}x"
     )
     assert ratio > 1.0
+
+
+def test_dominance_pruning_floor(library):
+    """Columns covered / columns timed on the pruning bench design, and
+    field-for-field equality with the exhaustive oracle."""
+    width, grid, floor = PRUNING
+    design, _ = _booth_engine(width, library, grid)
+    settings = ExplorationSettings(bitwidths=tuple(range(1, width + 1)))
+    start = time.perf_counter()
+    result = ExhaustiveExplorer(design).run(settings)
+    pruned_time = time.perf_counter() - start
+    start = time.perf_counter()
+    oracle = exhaustive_oracle(design, settings)
+    oracle_time = time.perf_counter() - start
+    assert_matches_oracle(result, oracle)
+
+    ratio = result.points_evaluated / result.points_timed
+    print(
+        f"\nbooth{width} {grid[0]}x{grid[1]}: timed {result.points_timed} "
+        f"of {result.points_evaluated} columns ({ratio:.2f}x); explore "
+        f"{pruned_time:.2f} s, exhaustive oracle {oracle_time:.2f} s"
+    )
+    assert ratio >= floor

@@ -156,7 +156,9 @@ def cmd_explore(args) -> int:
     result = ExhaustiveExplorer(design).run(_settings(args))
     print(
         f"explored {result.points_evaluated} points, filtered "
-        f"{result.filtered_fraction * 100:.1f}%, {result.runtime_s:.1f} s"
+        f"{result.filtered_fraction * 100:.1f}%, timed "
+        f"{result.points_timed} of {result.points_evaluated} lattice "
+        f"columns, {result.runtime_s:.1f} s"
     )
     if result.cache_stats is not None:
         print(result.cache_stats.describe())

@@ -4,9 +4,11 @@ For every accuracy mode (bitwidth) of interest the explorer
 
 1. runs case analysis (zeroed LSBs -> deactivated paths),
 2. annotates switching activity by simulating the netlist in that mode,
-3. for every supply voltage, evaluates *all* 2^NMAX back-bias assignments
-   in one batched STA sweep (the feasibility filter -- the paper reports
-   ~75 % of points rejected here),
+3. for every supply voltage, filters *all* 2^NMAX back-bias assignments
+   by timing feasibility (the paper reports ~75 % of points rejected
+   here) -- timing in batched STA sweeps only the assignments that an
+   easier knob point (fewer active bits, or a faster supply) left
+   feasible, which is exact because feasibility is monotone in both,
 4. ranks the feasible points by total (leakage + dynamic) power,
 
 and reports the minimum-power configuration per bitwidth: the data behind
@@ -49,6 +51,13 @@ class KnobCellResult:
     feasible_count: int
     best: Optional[OperatingPoint]
     combo_lo: int = 0
+    # Combos actually timed; the rest were proven infeasible by an easier
+    # knob point (dominance pruning).  None means all of them.
+    timed: Optional[int] = None
+
+    def __post_init__(self):
+        if self.timed is None:
+            object.__setattr__(self, "timed", self.evaluated)
 
     @property
     def combo_hi(self) -> int:
@@ -63,6 +72,7 @@ class KnobCellResult:
             "feasible_count": self.feasible_count,
             "best": self.best.to_dict() if self.best is not None else None,
             "combo_lo": self.combo_lo,
+            "timed": self.timed,
         }
 
     @staticmethod
@@ -75,6 +85,7 @@ class KnobCellResult:
             feasible_count=int(data["feasible_count"]),
             best=OperatingPoint.from_dict(best) if best is not None else None,
             combo_lo=int(data.get("combo_lo", 0)),
+            timed=int(data.get("timed", data["evaluated"])),
         )
 
 
@@ -100,6 +111,14 @@ class ExplorationResult:
     # Resilience statistics (crashes/retries survived; None on the
     # legacy path, a repro.parallel.engine.ResilienceStats otherwise).
     fault_stats: Optional[object] = None
+    # Lattice columns (BB combos at one knob point) actually timed; the
+    # other points_evaluated - points_timed were pruned as dominated.
+    # None means every point was timed.
+    points_timed: Optional[int] = None
+
+    def __post_init__(self):
+        if self.points_timed is None:
+            self.points_timed = self.points_evaluated
 
     @property
     def filtered_fraction(self) -> float:
@@ -148,33 +167,105 @@ class ExhaustiveExplorer:
             engine=settings.sim_engine,
         )
 
-    def _ladder_slacks(
+    def _time_rungs(
+        self,
+        vdd_values: Sequence[float],
+        configs: np.ndarray,
+        candidates: Sequence[np.ndarray],
+        case,
+        sta_engine: str,
+    ) -> List[np.ndarray]:
+        """Per-combo worst setup slack per VDD rung, timing only candidates.
+
+        *candidates* holds one boolean mask over the rows of *configs*
+        per rung.  ``lattice`` sweeps every rung's candidates in one
+        nets-major tensor pass; ``pointwise`` loops the scalar engine per
+        (VDD, candidate).  Both return the same float64 bits -- the
+        differential wall holds them to it.  Combos left out of a rung
+        come back at -inf: an easier knob point already proved them
+        infeasible.
+        """
+        rows = [np.flatnonzero(mask) for mask in candidates]
+        rung_configs = [configs[r] for r in rows]
+        engine = self.lattice_engine
+        constraint = self.design.constraint
+        if sta_engine == "lattice":
+            ladder = engine.analyze_ladder(
+                constraint, vdd_values, case=case, rung_configs=rung_configs
+            )
+        else:
+            ladder = [
+                engine.analyze_pointwise(
+                    constraint, vdd, configs=rung, case=case
+                )
+                for vdd, rung in zip(vdd_values, rung_configs)
+            ]
+        slacks = []
+        for r, result in zip(rows, ladder):
+            slack = np.full(len(configs), -np.inf)
+            slack[r] = result.worst_slack_ps
+            slacks.append(slack)
+        return slacks
+
+    def _supply_waves(
+        self, vdd_values: Sequence[float]
+    ) -> Tuple[List[List[int]], List[List[int]]]:
+        """Rung timing order for the supply rule, fastest first.
+
+        Returns ``(waves, dominators)``: ``dominators[v]`` are the rungs
+        whose feasible sets bound rung *v*'s (see
+        :meth:`LatticeStaEngine.rung_dominators`), and each wave is a
+        group of rungs whose dominators all sit in earlier waves, timed
+        together in one ladder pass.  A fully ordered VDD ladder gives
+        one rung per wave; an unprunable one (no dominance, or the
+        precondition fails) gives a single wave of every rung.
+        """
+        dominators = self.lattice_engine.rung_dominators(vdd_values)
+        # Dominance is a strict partial order, so a dominator always has
+        # fewer dominators of its own: this order is topological.
+        rungs = range(len(vdd_values))
+        depth = [0] * len(rungs)
+        for v in sorted(rungs, key=lambda v: len(dominators[v])):
+            depth[v] = 1 + max(
+                (depth[u] for u in dominators[v]), default=-1
+            )
+        waves = [
+            [v for v in rungs if depth[v] == level]
+            for level in range(max(depth, default=-1) + 1)
+        ]
+        return waves, dominators
+
+    def _time_supply_pruned(
         self,
         vdd_values: Sequence[float],
         configs: np.ndarray,
         case,
         sta_engine: str,
-    ) -> List[np.ndarray]:
-        """Per-combo worst setup slack for every VDD rung, engine-selected.
+        waves: List[List[int]],
+        dominators: List[List[int]],
+    ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+        """Supply rule: time each rung only on its dominators' feasible set.
 
-        ``lattice`` sweeps the whole (VDD, combo) ladder in one
-        nets-major tensor pass; ``pointwise`` loops the scalar engine
-        per (VDD, combination).  Both return the same float64 bits --
-        the differential wall holds them to it.
+        Returns ``(candidates, slacks)`` per rung, in *vdd_values* order.
         """
-        design = self.design
-        if sta_engine == "lattice":
-            ladder = self.lattice_engine.analyze_ladder(
-                design.constraint, vdd_values, configs=configs, case=case
+        candidates: List[Optional[np.ndarray]] = [None] * len(vdd_values)
+        slacks: List[Optional[np.ndarray]] = [None] * len(vdd_values)
+        for wave in waves:
+            for v in wave:
+                mask = np.ones(len(configs), dtype=bool)
+                for u in dominators[v]:
+                    mask &= slacks[u] >= 0.0
+                candidates[v] = mask
+            timed = self._time_rungs(
+                [vdd_values[v] for v in wave],
+                configs,
+                [candidates[v] for v in wave],
+                case,
+                sta_engine,
             )
-        else:
-            ladder = [
-                self.lattice_engine.analyze_pointwise(
-                    design.constraint, vdd, configs=configs, case=case
-                )
-                for vdd in vdd_values
-            ]
-        return [result.worst_slack_ps for result in ladder]
+            for v, slack in zip(wave, timed):
+                slacks[v] = slack
+        return candidates, slacks
 
     def evaluate_cells(
         self,
@@ -186,24 +277,54 @@ class ExhaustiveExplorer:
     ) -> List[KnobCellResult]:
         """Evaluate one rectangular slice of the knob/combo tensor.
 
-        One case analysis + activity simulation per bitwidth, one
-        whole-lattice STA pass over all *configs* per (bitwidth, VDD).
-        *configs* may be any contiguous slice of the full configuration
-        matrix, with *combo_lo* recording its offset on the combo axis.
+        One case analysis + activity simulation per bitwidth, then the
+        timing-feasibility scan of *configs* at every VDD.  *configs* may
+        be any contiguous slice of the full configuration matrix, with
+        *combo_lo* recording its offset on the combo axis.
+
+        The scan times a combo at a knob point only when no easier point
+        has already proven it infeasible (feasibility is monotone in both
+        knobs, exactly in float64); pruned combos count as infeasible, so
+        the cells are bit-identical to timing everything:
+
+        * accuracy rule -- when the previous bitwidth's case analysis
+          nests in this one's (:meth:`LatticeStaEngine.case_nests`),
+          rung *v* times only the previous bitwidth's feasible set at
+          *v*, all rungs in one ladder pass;
+        * supply rule -- otherwise (first bitwidth included), rungs are
+          timed fastest first and each times only the combos feasible at
+          every rung that dominates it.
+
         This is the single implementation both the serial sweep and
         every shard of the parallel engine execute, which is what makes
         their merged results bit-identical.
         """
         design = self.design
         sta_engine = resolve_sta_engine(settings.sta_engine)
-        config_tuples = [tuple(bool(x) for x in row) for row in configs]
+        configs = np.asarray(configs, dtype=bool)
+        vdd_values = list(vdd_values)
+        waves, dominators = self._supply_waves(vdd_values)
         cells: List[KnobCellResult] = []
+        # (case, per-rung feasible masks) of the last bitwidth evaluated.
+        previous = None
         for bits in bitwidths:
             case = dvas_case(design.netlist, bits)
             activity = self._activity(bits, settings)
-            slacks = self._ladder_slacks(vdd_values, configs, case, sta_engine)
-            for vdd, worst_slack in zip(vdd_values, slacks):
-                feasible = worst_slack >= 0.0
+            if previous is not None and self.lattice_engine.case_nests(
+                previous[0], case
+            ):
+                candidates = previous[1]
+                slacks = self._time_rungs(
+                    vdd_values, configs, candidates, case, sta_engine
+                )
+            else:
+                candidates, slacks = self._time_supply_pruned(
+                    vdd_values, configs, case, sta_engine, waves, dominators
+                )
+            feasible_masks = [worst_slack >= 0.0 for worst_slack in slacks]
+            for vdd, worst_slack, feasible, timed in zip(
+                vdd_values, slacks, feasible_masks, candidates
+            ):
                 count = int(np.count_nonzero(feasible))
                 point: Optional[OperatingPoint] = None
                 if count:
@@ -222,7 +343,7 @@ class ExhaustiveExplorer:
                     point = OperatingPoint(
                         active_bits=bits,
                         vdd=vdd,
-                        bb_config=config_tuples[winner],
+                        bb_config=tuple(bool(x) for x in configs[winner]),
                         total_power_w=float(powers[winner]),
                         dynamic_power_w=dynamic,
                         leakage_power_w=float(powers[winner]) - dynamic,
@@ -232,12 +353,14 @@ class ExhaustiveExplorer:
                     KnobCellResult(
                         bits=bits,
                         vdd=vdd,
-                        evaluated=len(config_tuples),
+                        evaluated=len(configs),
                         feasible_count=count,
                         best=point,
                         combo_lo=combo_lo,
+                        timed=int(np.count_nonzero(timed)),
                     )
                 )
+            previous = (case, feasible_masks)
         return cells
 
     def run(
@@ -289,6 +412,7 @@ def _fold_combo_slices(
         return ordered[0]
     cursor = 0
     evaluated = 0
+    timed = 0
     feasible = 0
     best: Optional[OperatingPoint] = None
     for cell in ordered:
@@ -299,6 +423,7 @@ def _fold_combo_slices(
             )
         cursor = cell.combo_hi
         evaluated += cell.evaluated
+        timed += cell.timed
         feasible += cell.feasible_count
         if cell.best is not None and (
             best is None or cell.best.total_power_w < best.total_power_w
@@ -311,6 +436,7 @@ def _fold_combo_slices(
         feasible_count=feasible,
         best=best,
         combo_lo=0,
+        timed=timed,
     )
 
 
@@ -338,6 +464,7 @@ def merge_cell_results(
     best_per_knob: Dict[Tuple[int, float], OperatingPoint] = {}
     feasible_counts: Dict[Tuple[int, float], int] = {}
     evaluated = 0
+    timed = 0
     feasible_total = 0
     for bits in settings.bitwidths:
         for vdd in settings.vdd_values:
@@ -348,6 +475,7 @@ def merge_cell_results(
                 )
             cell = _fold_combo_slices(bits, vdd, slices)
             evaluated += cell.evaluated
+            timed += cell.timed
             feasible_counts[(bits, vdd)] = cell.feasible_count
             feasible_total += cell.feasible_count
             point = cell.best
@@ -367,4 +495,5 @@ def merge_cell_results(
         runtime_s=runtime_s,
         feasible_counts=feasible_counts,
         best_per_knob_point=best_per_knob,
+        points_timed=timed,
     )

@@ -39,6 +39,7 @@ def save_exploration(result: ExplorationResult, stream: TextIO) -> None:
         "num_domains": result.num_domains,
         "points_evaluated": result.points_evaluated,
         "points_feasible": result.points_feasible,
+        "points_timed": result.points_timed,
         "runtime_s": result.runtime_s,
         "settings": {
             "bitwidths": list(result.settings.bitwidths),
@@ -89,6 +90,10 @@ def load_exploration(stream: TextIO) -> ExplorationResult:
         },
         points_evaluated=int(payload["points_evaluated"]),
         points_feasible=int(payload["points_feasible"]),
+        # Files written before dominance pruning timed every point.
+        points_timed=int(
+            payload.get("points_timed", payload["points_evaluated"])
+        ),
         runtime_s=float(payload["runtime_s"]),
         feasible_counts={
             (int(e["bits"]), float(e["vdd"])): int(e["count"])

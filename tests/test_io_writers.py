@@ -213,6 +213,23 @@ def _synthetic_exploration():
 
 
 class TestExplorationRoundTrip:
+    def test_points_timed_round_trips_and_defaults(self):
+        import dataclasses
+        import json
+
+        from repro.io import load_exploration, save_exploration
+
+        result = dataclasses.replace(_synthetic_exploration(), points_timed=17)
+        stream = io.StringIO()
+        save_exploration(result, stream)
+        payload = json.loads(stream.getvalue())
+        loaded = load_exploration(io.StringIO(stream.getvalue()))
+        assert loaded.points_timed == 17
+        # Files written before pruning existed timed every point.
+        del payload["points_timed"]
+        legacy = load_exploration(io.StringIO(json.dumps(payload)))
+        assert legacy.points_timed == legacy.points_evaluated == 96
+
     def test_bit_exact_identity(self):
         from repro.io import load_exploration, save_exploration
 

@@ -170,6 +170,68 @@ def test_vdd_ladder_pass_matches_per_rung_analyze(operator, designs):
             )
 
 
+def test_per_rung_configs_match_standalone_analyze(designs):
+    """``rung_configs`` (the pruned sweep's shape): every rung times its
+    own config matrix -- empty ones included -- in one stacked pass, and
+    each slice equals that rung's standalone ``analyze``."""
+    design = designs["booth"]
+    engine = lattice_engine(design)
+    configs = all_bb_configs(design.num_domains)
+    vdds = [1.0, 0.9, 0.8, 0.7]
+    rung_configs = [configs, configs[3:9], configs[:0], configs[::-2]]
+    case = dvas_case(design.netlist, 4)
+    ladder = engine.analyze_ladder(
+        design.constraint, vdds, case=case, rung_configs=rung_configs
+    )
+    for rung, vdd, rows in zip(ladder, vdds, rung_configs):
+        single = engine.analyze(
+            design.constraint, vdd, configs=rows, case=case
+        )
+        assert np.array_equal(rung.configs, rows)
+        assert np.array_equal(rung.worst_slack_ps, single.worst_slack_ps)
+        assert np.array_equal(
+            rung.critical_endpoint_net, single.critical_endpoint_net
+        )
+    with pytest.raises(ValueError, match="not both"):
+        engine.analyze_ladder(
+            design.constraint, vdds, configs=configs, rung_configs=rung_configs
+        )
+    with pytest.raises(ValueError, match="rung config matrices"):
+        engine.analyze_ladder(
+            design.constraint, vdds, rung_configs=rung_configs[:2]
+        )
+
+
+def test_scratch_is_one_set_sized_to_widest_pass(designs):
+    """Passes of different combo counts share one growable buffer set:
+    nothing is kept per width, and the set ends at the widest pass."""
+    design = designs["booth"]
+    engine = lattice_engine(design)
+    configs = all_bb_configs(design.num_domains)
+    graph = engine.graph
+    widths = [3, 16, 7, 1, 11]
+    results = [
+        engine.analyze(design.constraint, 0.8, configs=configs[:width])
+        for width in widths
+    ]
+    scratch = engine._scratch
+    assert sorted(scratch) == [
+        "arc_delay", "arrival", "candidate", "cell_factors"
+    ]
+    widest = max(widths)
+    sweep = engine._padded_sweep(graph.schedule, backward=False)
+    assert scratch["arrival"].size == graph.num_nets * widest
+    assert scratch["cell_factors"].size == graph.num_cells * widest
+    assert scratch["arc_delay"].size == len(sweep.arc_pad) * widest
+    assert scratch["candidate"].size == sweep.slots * widest
+    # Reused views never leak one pass's numbers into another.
+    for width, result in zip(widths, results):
+        fresh = lattice_engine(design).analyze(
+            design.constraint, 0.8, configs=configs[:width]
+        )
+        assert np.array_equal(result.worst_slack_ps, fresh.worst_slack_ps)
+
+
 def test_config_subset_slices_match_full_lattice(designs):
     """A combo-sliced call (the sharded path) equals rows of the full
     lattice -- no cross-combo coupling in the kernel."""
@@ -206,6 +268,7 @@ def test_exploration_identical_across_sta_engines(operator, designs):
         dataclasses.replace(settings, sta_engine="pointwise")
     )
     assert_identical(lattice, pointwise)
+    assert lattice.points_timed == pointwise.points_timed
 
 
 def test_auto_resolves_to_lattice_numbers(designs, monkeypatch):
